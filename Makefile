@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json eval random campaign examples clean
+.PHONY: all build vet test race check bench bench-e2e eval random campaign examples clean
 
 all: build test
 
@@ -17,7 +17,7 @@ vet:
 	$(GO) vet ./...
 
 test:
-	$(GO) test ./... 2>&1 | tee test_output.txt
+	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -25,17 +25,24 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# Machine-readable perf snapshot (ns/op, allocs/op per pipeline stage).
-bench-json:
-	$(GO) run ./cmd/fcatch-bench -json BENCH_current.json
+# The end-to-end benchmark (perfbench/README.md): every BENCHMARK.json
+# workload at its declared run length. The last line of each run is the JSON
+# result.
+bench-e2e:
+	for w in eval-sweep campaign-coverage dist-coverage; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 25 --trace 0 || exit 1; \
+	done
 
 # Regenerate every table and experiment of the paper's evaluation.
 eval:
 	$(GO) run ./cmd/fcatch-bench -all -pruning
 
-# The Section 8.3 baseline at full scale.
+# The Section 8.3 baseline at full scale: the campaign engine's random
+# strategy, 400 runs on each of the six workloads.
 random:
-	$(GO) run ./cmd/randinject -runs 400
+	for w in 'CA1&2' HB1 HB2 MR1 MR2 ZK; do \
+		$(GO) run ./cmd/fcatch-campaign -workload "$$w" -strategy random -runs 400 || exit 1; \
+	done
 
 # The §8.3-extended campaign strategy comparison at full scale.
 campaign:
@@ -49,4 +56,5 @@ examples:
 	$(GO) run ./examples/random-vs-fcatch -runs 100
 
 clean:
-	rm -f test_output.txt bench_output.txt *.gob.gz
+	rm -f bench_output.txt
+	rm -rf .bench_build

@@ -10,7 +10,8 @@ import (
 // Strategy names accepted by Config.Strategy / NewStrategy.
 const (
 	// StrategyRandom is the Section 8.3 baseline: uniform-random step
-	// crashes, byte-identical to the pre-engine RandomCampaignP.
+	// crashes, byte-identical to the pre-engine implementation (pinned by
+	// TestRandomCampaignMatchesReference).
 	StrategyRandom = "random"
 	// StrategyExhaustive walks the enumerated fault space in order.
 	StrategyExhaustive = "exhaustive-site"
@@ -63,7 +64,7 @@ func needsSpace(name string) bool { return name != StrategyRandom }
 
 // randomStrategy reproduces the legacy baseline: all crash steps are drawn
 // up front from the same seeded RNG stream the pre-engine code used, so a
-// random campaign's results are byte-identical to RandomCampaignP's.
+// random campaign's results are byte-identical to that code's.
 type randomStrategy struct {
 	steps []int64
 	next  int

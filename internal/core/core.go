@@ -99,11 +99,11 @@ type Options struct {
 	// Detect toggles the fault-tolerance pruning analyses (ablations only).
 	Detect detect.Options
 	// Parallelism bounds the worker pool everywhere the pipeline fans out:
-	// RunEvaluation's per-workload passes, TriggerAll's per-report replays,
-	// RandomCampaign's runs, and Detect's two trace analyses. 0 (the
-	// default) means GOMAXPROCS; 1 forces the fully sequential path. Every
-	// setting produces byte-identical reports, tables, and counters —
-	// results are collected in deterministic order regardless of schedule.
+	// RunEvaluation's per-workload passes, TriggerAll's per-report replays
+	// and Detect's two trace analyses. 0 (the default) means GOMAXPROCS; 1
+	// forces the fully sequential path. Every setting produces
+	// byte-identical reports, tables, and counters — results are collected
+	// in deterministic order regardless of schedule.
 	Parallelism int
 	// Metrics, when non-nil, receives pipeline phase spans (observation
 	// runs, index builds, each detector, compound pairing) and is forwarded
@@ -227,6 +227,11 @@ func ObserveIndexed(w Workload, opts Options) (*Observation, *hb.Graph, *hb.Grap
 }
 
 func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph, *hb.Graph, error) {
+	// An observation is its pair of traces: an untraced run yields nothing
+	// to index or analyze.
+	if opts.Tracing == sim.TraceOff {
+		return nil, nil, nil, fmt.Errorf("core: observing %s needs a tracing mode, but Options.Tracing is TraceOff (DefaultOptions traces selectively)", w.Name())
+	}
 	obs := &Observation{}
 	// With a sequential budget the builder extends the index inline, under
 	// the run's wall clock; otherwise it overlaps on its own goroutine.

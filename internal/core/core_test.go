@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -157,12 +158,25 @@ func TestTriggerConfirmsToyBugs(t *testing.T) {
 	}
 }
 
+// TestUntracedOptionsRejected: the zero-value Options trace nothing, so an
+// observation has no traces to analyze. Observe and Detect must say so with
+// an error instead of panicking on the missing trace.
+func TestUntracedOptionsRejected(t *testing.T) {
+	opts := core.Options{Seed: 1}
+	if _, err := core.Detect(toy.New(), opts); err == nil || !strings.Contains(err.Error(), "TraceOff") {
+		t.Errorf("Detect with TraceOff: err = %v, want a tracing-mode error", err)
+	}
+	if _, err := core.Observe(toy.New(), opts); err == nil || !strings.Contains(err.Error(), "TraceOff") {
+		t.Errorf("Observe with TraceOff: err = %v, want a tracing-mode error", err)
+	}
+}
+
 func TestTraceRoundTrip(t *testing.T) {
 	obs, err := core.Observe(toy.New(), core.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
-	path := t.TempDir() + "/trace.gob.gz"
+	path := t.TempDir() + "/trace.fct2"
 	if err := obs.FaultFree.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}

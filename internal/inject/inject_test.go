@@ -67,28 +67,3 @@ func TestTriggerWithoutWPrimeIsBenign(t *testing.T) {
 		t.Fatalf("report without W' classified %v", out.Class)
 	}
 }
-
-func TestRandomCampaignDeterministic(t *testing.T) {
-	a, err := RandomCampaign(toy.New(), 25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RandomCampaign(toy.New(), 25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.FailureRuns != b.FailureRuns || len(a.Failures) != len(b.Failures) {
-		t.Fatalf("campaign not deterministic: %v vs %v", a.Failures, b.Failures)
-	}
-}
-
-func TestRandomResultSignaturesSorted(t *testing.T) {
-	r := &RandomResult{Failures: map[string]int{"b": 2, "a": 2, "c": 9}}
-	got := r.Signatures()
-	if len(got) != 3 || got[0] != "c" || got[1] != "a" || got[2] != "b" {
-		t.Fatalf("signatures = %v, want frequency desc then lexicographic", got)
-	}
-	if r.UniqueFailures() != 3 {
-		t.Fatal("UniqueFailures wrong")
-	}
-}

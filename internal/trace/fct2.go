@@ -18,9 +18,10 @@ import (
 //	secStacks (2)  uvarint count, then count (uvarint parent, uvarint frame)
 //	               nodes appended to the stack table
 //	secPIDs (3)    uvarint count, then count PID strings appended to the list
-//	secRecords (4) uvarint count, then the FCT1 record columns for just those
-//	               count records; TS deltas continue across chunks and record
-//	               IDs continue from the previous chunk
+//	secRecords (4) uvarint count, then the record columns for just those
+//	               count records (see encodeRecColumns); TS deltas continue
+//	               across chunks and record IDs continue from the previous
+//	               chunk
 //	secMeta (5)    varint CrashStep, string CrashedPID, varint BaselineNanos
 //	secEnd (6)     uvarint total record count (truncation check) — always last
 //
@@ -28,8 +29,7 @@ import (
 // record chunk that needs the new entries, so a decoder can resolve every
 // Sym/StackID/PID the moment a chunk arrives and never needs the whole
 // stream in memory. Encoding a materialized trace degenerates to one table
-// section of each kind followed by record chunks — semantically identical
-// to FCT1, just chunked.
+// section of each kind followed by record chunks.
 
 const (
 	secSyms = 1 + iota
@@ -244,10 +244,10 @@ func newFCT2Source(r io.Reader) (*fct2Source, error) {
 		// of real data has decoded. Streams larger than the cap still decode
 		// — they just grow incrementally past it.
 		s.hints = SizeHints{
-			Syms:    minInt(int(s.d.uvarint()), fct2HintCap),
-			Stacks:  minInt(int(s.d.uvarint()), fct2HintCap),
-			PIDs:    minInt(int(s.d.uvarint()), fct2HintCap),
-			Records: minInt(int(s.d.uvarint()), fct2HintCap),
+			Syms:    min(int(s.d.uvarint()), fct2HintCap),
+			Stacks:  min(int(s.d.uvarint()), fct2HintCap),
+			PIDs:    min(int(s.d.uvarint()), fct2HintCap),
+			Records: min(int(s.d.uvarint()), fct2HintCap),
 		}
 		if s.d.err != nil {
 			return nil, s.fail("header", s.d.err)
@@ -423,8 +423,11 @@ func (s *fct2Source) Close() error {
 	return err
 }
 
-// encodeRecColumns writes the FCT1/FCT2 record columns for one batch.
-// prevTS carries the timestamp delta base across chunks.
+// encodeRecColumns writes the record columns for one batch, column by column
+// (all records' TS, then all Machines, ...; order matches Record's fields).
+// TS is delta-encoded; Sym/StackID/OpID/flag columns are uvarints; Taint and
+// Ctl are a count plus delta-encoded IDs per record. Record IDs are implicit
+// (row i is OpID i+1). prevTS carries the timestamp delta base across chunks.
 func encodeRecColumns(e *colEncoder, rs []Record, prevTS *int64) {
 	for i := range rs {
 		e.varint(rs[i].TS - *prevTS)
@@ -484,13 +487,6 @@ func decodeRecColumns(d *colDecoder, rs []Record, prevTS *int64) error {
 		*prevTS += d.varint()
 		rs[i].TS = *prevTS
 	}
-	return decodeColumnsAfterTS(d, rs)
-}
-
-// decodeColumnsAfterTS reads every column after the timestamp one (shared by
-// the FCT2 chunk decoder and the FCT1 compatibility decoder, which handles
-// its timestamp column separately for allocation-safety).
-func decodeColumnsAfterTS(d *colDecoder, rs []Record) error {
 	for i := range rs {
 		rs[i].Machine = Sym(d.uvarint())
 	}
@@ -539,9 +535,7 @@ func decodeColumnsAfterTS(d *colDecoder, rs []Record) error {
 	return d.err
 }
 
-// Open opens a trace file as a streaming Source, sniffing the format: FCT2
-// streams chunk by chunk; FCT1 and legacy gob files are decoded whole and
-// replayed through an in-memory source.
+// Open opens an FCT2 trace file as a streaming Source.
 func Open(path string) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -555,68 +549,29 @@ func Open(path string) (Source, error) {
 	return src, nil
 }
 
-// NewSource wraps an arbitrary reader as a streaming Source, sniffing the
-// format like Open.
+// NewSource wraps an arbitrary reader as a streaming Source, like Open.
 func NewSource(r io.Reader) (Source, error) {
 	return newSource(r, nil)
 }
 
 func newSource(r io.Reader, closer io.Closer) (Source, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("decode: %w", err)
-	}
+	head, err := br.Peek(len(FormatMagic))
 	switch {
 	case string(head) == FormatMagic:
-		if _, err := br.Discard(4); err != nil {
-			return nil, err
-		}
+		_, _ = br.Discard(len(head)) // cannot fail: Peek just buffered these bytes
 		s, err := newFCT2Source(br)
 		if err != nil {
 			return nil, err
 		}
 		s.rc = closer
 		return s, nil
-	case string(head) == FormatMagicV1:
-		if _, err := br.Discard(4); err != nil {
-			return nil, err
-		}
-		t, err := decodeFCT1(br)
-		if err != nil {
-			return nil, err
-		}
-		return &closingSource{Source: SourceOf(t, 0), c: closer}, nil
-	case head[0] == 0x1f && head[1] == 0x8b:
-		t, err := decodeLegacyGob(br)
-		if err != nil {
-			return nil, err
-		}
-		return &closingSource{Source: SourceOf(t, 0), c: closer}, nil
+	case string(head) == "FCT1":
+		return nil, fmt.Errorf("decode: unsupported older trace generation FCT1; only %s traces load", FormatMagic)
+	case len(head) >= 2 && head[0] == 0x1f && head[1] == 0x8b:
+		return nil, fmt.Errorf("decode: unsupported older trace generation (unversioned gzipped gob); only %s traces load", FormatMagic)
+	case err != nil:
+		return nil, fmt.Errorf("decode: %w", err)
 	}
 	return nil, fmt.Errorf("decode: unrecognized trace format (magic %q)", head)
-}
-
-// closingSource attaches an underlying closer (the opened file) to a
-// materialized source.
-type closingSource struct {
-	Source
-	c io.Closer
-}
-
-func (s *closingSource) Close() error {
-	err := s.Source.Close()
-	if s.c != nil {
-		if cerr := s.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-func (s *closingSource) SizeHints() (SizeHints, bool) {
-	if h, ok := s.Source.(Hinter); ok {
-		return h.SizeHints()
-	}
-	return SizeHints{}, false
 }

@@ -7,20 +7,53 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fcatch/internal/trace"
 )
 
+// recordData is the resolved, string-valued form of one Record.
+type recordData struct {
+	ID      trace.OpID
+	TS      int64
+	Machine string
+	PID     string
+	Thread  int
+	Frame   trace.OpID
+	Kind    trace.Kind
+	Site    string
+	Stack   []string
+	Res     string
+	Src     trace.OpID
+	Aux     string
+	Target  string
+	Flags   uint32
+	Causor  trace.OpID
+	Taint   []trace.OpID
+	Ctl     []trace.OpID
+}
+
+// resolve turns a record's symbols into strings.
+func resolve(t *trace.Trace, r *trace.Record) recordData {
+	return recordData{
+		ID: r.ID, TS: r.TS, Machine: t.Str(r.Machine), PID: t.Str(r.PID),
+		Thread: r.Thread, Frame: r.Frame, Kind: r.Kind, Site: t.Str(r.Site),
+		Stack: t.StackLabels(r.Stack), Res: t.Str(r.Res), Src: r.Src,
+		Aux: t.Str(r.Aux), Target: t.Str(r.Target), Flags: r.Flags,
+		Causor: r.Causor, Taint: r.Taint, Ctl: r.Ctl,
+	}
+}
+
 // semantic flattens a trace into its fully-resolved form (strings, not Syms)
-// so traces from different codecs can be compared even though their symbol
-// tables may assign different Syms.
+// so traces can be compared even when their symbol tables assign different
+// Syms.
 type semantic struct {
 	PIDs          []string
 	CrashStep     int64
 	CrashedPID    string
 	BaselineNanos int64
-	Records       []trace.RecordData
+	Records       []recordData
 }
 
 func flatten(t *trace.Trace) semantic {
@@ -31,13 +64,13 @@ func flatten(t *trace.Trace) semantic {
 		BaselineNanos: t.BaselineNanos,
 	}
 	for i := range t.Records {
-		s.Records = append(s.Records, t.Data(&t.Records[i]))
+		s.Records = append(s.Records, resolve(t, &t.Records[i]))
 	}
 	return s
 }
 
 // randomTrace builds a deterministic pseudo-random trace exercising every
-// field the codecs carry: symbols, stacks, taint/ctl sets, flags, metadata.
+// field the codec carries: symbols, stacks, taint/ctl sets, flags, metadata.
 func randomTrace(seed int64, n int) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := trace.New()
@@ -85,10 +118,11 @@ func randomTrace(seed int64, n int) *trace.Trace {
 	return tr
 }
 
-// TestFormatsRoundTripEquivalent is the cross-codec property test: the FCT1
-// binary format, the legacy gob format, and the JSON dump must all round-trip
-// a trace to the same semantic content.
+// TestFormatsRoundTripEquivalent is the codec property test: every decode
+// path — monolithic Decode, a drained NewSource and Open on a saved file —
+// must round-trip a trace to the same semantic content.
 func TestFormatsRoundTripEquivalent(t *testing.T) {
+	dir := t.TempDir()
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := randomTrace(seed, 200)
 		want := flatten(tr)
@@ -100,86 +134,48 @@ func TestFormatsRoundTripEquivalent(t *testing.T) {
 		if string(fct.Bytes()[:4]) != trace.FormatMagic {
 			t.Fatalf("seed %d: encoded stream does not start with %q", seed, trace.FormatMagic)
 		}
-		gotFCT, err := trace.Decode(bytes.NewReader(fct.Bytes()))
+		decoded, err := trace.Decode(bytes.NewReader(fct.Bytes()))
 		if err != nil {
-			t.Fatalf("seed %d: Decode(FCT2): %v", seed, err)
+			t.Fatalf("seed %d: Decode: %v", seed, err)
 		}
-
-		var fct1 bytes.Buffer
-		if err := tr.EncodeFCT1(&fct1); err != nil {
-			t.Fatalf("seed %d: EncodeFCT1: %v", seed, err)
-		}
-		if string(fct1.Bytes()[:4]) != trace.FormatMagicV1 {
-			t.Fatalf("seed %d: FCT1 stream does not start with %q", seed, trace.FormatMagicV1)
-		}
-		gotFCT1, err := trace.Decode(bytes.NewReader(fct1.Bytes()))
+		src, err := trace.NewSource(bytes.NewReader(fct.Bytes()))
 		if err != nil {
-			t.Fatalf("seed %d: Decode(FCT1): %v", seed, err)
+			t.Fatalf("seed %d: NewSource: %v", seed, err)
 		}
-
-		// The streaming Source path over the same bytes must agree with the
-		// monolithic Decode for every format generation.
-		gotSourced := map[string]*trace.Trace{}
-		for name, raw := range map[string][]byte{"fct2": fct.Bytes(), "fct1": fct1.Bytes()} {
-			src, err := trace.NewSource(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("seed %d: NewSource(%s): %v", seed, name, err)
-			}
-			got, err := trace.Drain(src)
-			if err != nil {
-				t.Fatalf("seed %d: Drain(%s): %v", seed, name, err)
-			}
-			gotSourced[name+"-source"] = got
-		}
-
-		var gob bytes.Buffer
-		if err := tr.EncodeLegacyGob(&gob); err != nil {
-			t.Fatalf("seed %d: EncodeLegacyGob: %v", seed, err)
-		}
-		gotGob, err := trace.Decode(bytes.NewReader(gob.Bytes()))
+		sourced, err := trace.Drain(src)
 		if err != nil {
-			t.Fatalf("seed %d: Decode(gob): %v", seed, err)
+			t.Fatalf("seed %d: Drain: %v", seed, err)
 		}
-
-		var jsonl bytes.Buffer
-		if err := tr.WriteJSON(&jsonl); err != nil {
-			t.Fatalf("seed %d: WriteJSON: %v", seed, err)
+		path := filepath.Join(dir, "t.trace")
+		if err := tr.Save(path); err != nil {
+			t.Fatalf("seed %d: Save: %v", seed, err)
 		}
-		gotJSON, err := trace.ReadJSON(&jsonl)
+		opened, err := trace.Open(path)
 		if err != nil {
-			t.Fatalf("seed %d: ReadJSON: %v", seed, err)
+			t.Fatalf("seed %d: Open: %v", seed, err)
+		}
+		loaded, err := trace.Drain(opened)
+		if err != nil {
+			t.Fatalf("seed %d: Drain(Open): %v", seed, err)
 		}
 
-		all := map[string]*trace.Trace{"fct2": gotFCT, "fct1": gotFCT1, "gob": gotGob}
-		for name, got := range gotSourced {
-			all[name] = got
-		}
-		for name, got := range all {
+		for name, got := range map[string]*trace.Trace{"decode": decoded, "source": sourced, "open": loaded} {
 			if g := flatten(got); !reflect.DeepEqual(g, want) {
 				t.Errorf("seed %d: %s round trip diverged", seed, name)
 			}
 		}
-		// The JSON dump carries records only (run metadata is re-derived from
-		// them on read), so its round trip is pinned on the record stream.
-		if g := flatten(gotJSON); !reflect.DeepEqual(g.Records, want.Records) {
-			t.Errorf("seed %d: json round trip diverged", seed)
-		}
-
-		if fct.Len() >= gob.Len() {
-			t.Errorf("seed %d: FCT1 (%d bytes) not smaller than legacy gob (%d bytes)", seed, fct.Len(), gob.Len())
-		}
 	}
 }
 
-// legacyFixture is the semantic content of testdata/legacy_v0.gob.gz and
-// testdata/legacy_v0.jsonl, both written by the pre-symbol-table encoder.
+// legacyFixture is the semantic content of testdata/legacy_v2.fct2, an FCT2
+// file written by an earlier build's encoder.
 func legacyFixture() semantic {
 	return semantic{
 		PIDs:          []string{"node#1", "node#2"},
 		CrashStep:     20,
 		CrashedPID:    "node#1",
 		BaselineNanos: 12345,
-		Records: []trace.RecordData{
+		Records: []recordData{
 			{ID: 1, TS: 10, Machine: "m1", PID: "node#1", Thread: 1, Kind: trace.KThreadStart,
 				Aux: "main", Stack: []string{"main"}},
 			{ID: 2, TS: 12, Machine: "m1", PID: "node#1", Thread: 1, Frame: 1, Kind: trace.KHeapWrite,
@@ -199,68 +195,20 @@ func legacyFixture() semantic {
 	}
 }
 
-// TestLegacyGobFixtureLoads pins backward compatibility: a trace written by
-// the pre-FCT1 gob encoder must still load, via format sniffing, with its
-// content intact.
-func TestLegacyGobFixtureLoads(t *testing.T) {
-	got, err := trace.Load(filepath.Join("testdata", "legacy_v0.gob.gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flatten(got), legacyFixture()) {
-		t.Fatalf("legacy gob fixture diverged:\ngot  %+v\nwant %+v", flatten(got), legacyFixture())
-	}
-}
-
-// TestLegacyJSONFixtureLoads pins the JSON dump format: old line-delimited
-// dumps parse into the same semantic trace.
-func TestLegacyJSONFixtureLoads(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "legacy_v0.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := trace.ReadJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := legacyFixture()
-	want.BaselineNanos = 0 // the JSON dump carries records + crash metadata only
-	if !reflect.DeepEqual(flatten(got), want) {
-		t.Fatalf("legacy json fixture diverged:\ngot  %+v\nwant %+v", flatten(got), want)
-	}
-}
-
-// TestLegacyV1FixtureLoads pins the previous binary generation: a trace
-// written by the PR 3 FCT1 encoder must keep loading — through both the
-// monolithic loader and the streaming Open path.
-func TestLegacyV1FixtureLoads(t *testing.T) {
-	path := filepath.Join("testdata", "legacy_v1.fct1")
+// TestFCT2FixtureLoads pins the on-disk format against an earlier build: an
+// FCT2 file it wrote must keep loading, with its content intact, through
+// both the monolithic loader and the streaming Open path.
+func TestFCT2FixtureLoads(t *testing.T) {
+	path := filepath.Join("testdata", "legacy_v2.fct2")
 	got, err := trace.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(flatten(got), legacyFixture()) {
-		t.Fatalf("legacy fct1 fixture diverged:\ngot  %+v\nwant %+v", flatten(got), legacyFixture())
+		t.Fatalf("fct2 fixture diverged:\ngot  %+v\nwant %+v", flatten(got), legacyFixture())
 	}
 
 	src, err := trace.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := trace.Drain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flatten(streamed), legacyFixture()) {
-		t.Fatal("legacy fct1 fixture diverged on the Source path")
-	}
-}
-
-// TestLegacyGobFixtureStreamsViaOpen: the oldest format also serves the
-// Source interface (materialize-then-window fallback).
-func TestLegacyGobFixtureStreamsViaOpen(t *testing.T) {
-	src, err := trace.Open(filepath.Join("testdata", "legacy_v0.gob.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +228,33 @@ func TestLegacyGobFixtureStreamsViaOpen(t *testing.T) {
 		t.Fatalf("streamed %d records, want %d", n, len(want.Records))
 	}
 	if !reflect.DeepEqual(flatten(src.Trace()), want) {
-		t.Fatal("legacy gob fixture diverged on the Source path")
+		t.Fatal("fct2 fixture diverged on the Source path")
+	}
+}
+
+// TestDecodeRejectsOlderGenerations: streams from the format generations
+// before FCT2 fail with an error that names them, on every entry point.
+func TestDecodeRejectsOlderGenerations(t *testing.T) {
+	cases := map[string][]byte{
+		"fct1 magic":       []byte("FCT1"),
+		"fct1 stream":      append([]byte("FCT1"), 0x1f, 0x8b, 0x08, 0x00),
+		"bare gzip header": {0x1f, 0x8b},
+		"gzipped gob":      {0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00},
+	}
+	dir := t.TempDir()
+	for name, raw := range cases {
+		path := filepath.Join(dir, "old.trace")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, decErr := trace.Decode(bytes.NewReader(raw))
+		_, srcErr := trace.NewSource(bytes.NewReader(raw))
+		_, loadErr := trace.Load(path)
+		for entry, err := range map[string]error{"Decode": decErr, "NewSource": srcErr, "Load": loadErr} {
+			if err == nil || !strings.Contains(err.Error(), "unsupported older trace generation") {
+				t.Errorf("%s via %s: err = %v, want an unsupported-older-generation error", name, entry, err)
+			}
+		}
 	}
 }
 

@@ -214,7 +214,7 @@ func TestFCT2SourceNonRetaining(t *testing.T) {
 	}
 	rs.SetRetain(false)
 
-	var got []trace.RecordData
+	var got []recordData
 	st := src.Trace()
 	for {
 		win, err := src.Next()
@@ -224,7 +224,7 @@ func TestFCT2SourceNonRetaining(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range win {
-			got = append(got, st.Data(&win[i]))
+			got = append(got, resolve(st, &win[i]))
 		}
 	}
 	if len(st.Records) != 0 {
